@@ -91,6 +91,8 @@ pub struct QueryMetrics {
     pub plans_pruned: usize,
     /// Plans aborted mid-evaluation by the top-k threshold.
     pub plans_early_stopped: usize,
+    /// Epoch of the [`ReadView`] the query read (0 = the bulk load).
+    pub epoch: u64,
 }
 
 /// Cumulative engine statistics across all queries.
@@ -598,8 +600,8 @@ impl QueryEngine {
     }
 
     /// Shared prepare → execute → present skeleton of the `query_*`
-    /// methods. Every completion — success, degraded, or execute-stage
-    /// error — appends one flight record.
+    /// methods. Every completion — success, degraded, a rejection before
+    /// execution, or an execute-stage error — appends one flight record.
     fn run(
         &self,
         keywords: &[&str],
@@ -610,11 +612,20 @@ impl QueryEngine {
     ) -> Result<QueryOutcome, XkError> {
         let start = Instant::now();
         let query_span = xkw_obs::span!("query", keywords = keywords.len(), z = z);
-        exec::validate_mode(mode).inspect_err(|_| self.count_error())?;
         // One snapshot per query: discovery, planning and execution all
         // read this view even if an ingest installs a newer one mid-way.
         let view = self.view();
-        let prepared = self.prepare_with(&view, keywords, z)?;
+        let prepared = match exec::validate_mode(mode)
+            .inspect_err(|_| self.count_error())
+            .and_then(|()| self.prepare_with(&view, keywords, z))
+        {
+            Ok(p) => p,
+            Err(e) => {
+                drop(query_span);
+                self.record_failure(keywords, z, mode, info, None, Duration::ZERO, start, &e);
+                return Err(e);
+            }
+        };
 
         let t = Instant::now();
         let exec_span = xkw_obs::span!("query.exec", plans = prepared.plans.len());
@@ -630,7 +641,16 @@ impl QueryEngine {
                 // Close the query span before recording so a drained
                 // span tree includes it.
                 drop(query_span);
-                self.record_failure(keywords, z, mode, info, &prepared, exec_time, start, &e);
+                self.record_failure(
+                    keywords,
+                    z,
+                    mode,
+                    info,
+                    Some(&prepared),
+                    exec_time,
+                    start,
+                    &e,
+                );
                 return Err(e);
             }
         };
@@ -656,6 +676,7 @@ impl QueryEngine {
             io_misses: results.stats.io_misses,
             plans_pruned: results.prune.plans_pruned,
             plans_early_stopped: results.prune.plans_early_stopped,
+            epoch: view.epoch,
         };
         self.stats.lock().absorb(&metrics);
         publish_query_metrics(&metrics, &results);
@@ -751,9 +772,11 @@ impl QueryEngine {
         });
     }
 
-    /// Records a query whose execute stage failed. Errors are always
-    /// force-captured but never request a deferred EXPLAIN — re-running
-    /// a failing query would just fail again.
+    /// Records a failed query: rejected before execution (`prepared` is
+    /// `None`: bad mode, empty or oversized query, unknown keyword) or
+    /// failed in its execute stage. Errors are always force-captured but
+    /// never request a deferred EXPLAIN — re-running a failing query
+    /// would just fail again.
     #[allow(clippy::too_many_arguments)]
     fn record_failure(
         &self,
@@ -761,7 +784,7 @@ impl QueryEngine {
         z: usize,
         mode: ExecMode,
         info: RunInfo,
-        prepared: &Prepared,
+        prepared: Option<&Prepared>,
         exec_time: Duration,
         start: Instant,
         error: &XkError,
@@ -787,13 +810,13 @@ impl QueryEngine {
             postings: postings_label(self.master().format()),
             deadline_ns: info.deadline.map(|d| d.as_nanos() as u64),
             prune: info.prune,
-            plan_cache_hit: prepared.plan_cache_hit,
-            discover_ns: prepared.discover.as_nanos() as u64,
-            plan_ns: prepared.plan.as_nanos() as u64,
+            plan_cache_hit: prepared.is_some_and(|p| p.plan_cache_hit),
+            discover_ns: prepared.map_or(0, |p| p.discover.as_nanos() as u64),
+            plan_ns: prepared.map_or(0, |p| p.plan.as_nanos() as u64),
             exec_ns: exec_time.as_nanos() as u64,
             present_ns: 0,
             total_ns,
-            plans: prepared.plans.len(),
+            plans: prepared.map_or(0, |p| p.plans.len()),
             plans_pruned: 0,
             plans_early_stopped: 0,
             rows: 0,
@@ -940,6 +963,7 @@ impl QueryEngine {
             io_misses: results.stats.io_misses,
             plans_pruned: results.prune.plans_pruned,
             plans_early_stopped: results.prune.plans_early_stopped,
+            epoch: view.epoch,
         };
         self.stats.lock().absorb(&metrics);
         publish_query_metrics(&metrics, &results);
@@ -1026,6 +1050,7 @@ impl QueryEngine {
             io_misses: results.stats.io_misses,
             plans_pruned: results.prune.plans_pruned,
             plans_early_stopped: results.prune.plans_early_stopped,
+            epoch: view.epoch,
         };
         self.stats.lock().absorb(&metrics);
         publish_query_metrics(&metrics, &results);
@@ -1561,6 +1586,21 @@ mod tests {
             .query_all(&["john", "vcr"], 8, ExecMode::Cached { capacity: 1024 })
             .unwrap();
         assert_eq!(out.mttons.iter().map(|m| m.score).min(), Some(6));
+    }
+
+    /// A query reports the epoch of the view it read: 0 on the bulk
+    /// load, 1 once a view has been installed.
+    #[test]
+    fn query_metrics_report_the_epoch_read() {
+        let e = engine();
+        let mode = ExecMode::Cached { capacity: 1024 };
+        let before = e.query_all(&["john", "vcr"], 8, mode).unwrap();
+        assert_eq!(before.metrics.epoch, 0);
+        e.install_view(e.targets(), e.master(), e.catalog());
+        let after = e.query_all(&["john", "vcr"], 8, mode).unwrap();
+        assert_eq!(after.metrics.epoch, 1);
+        let topk = e.query_topk(&["john", "vcr"], 8, 3, mode, 1).unwrap();
+        assert_eq!(topk.metrics.epoch, 1);
     }
 
     /// `query_all`/`query_all_hash` return the same outcome for any

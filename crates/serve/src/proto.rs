@@ -85,11 +85,13 @@ pub const FLAG_NAIVE: u8 = 1 << 1;
 /// `k == 0` asks for full evaluation (every result); `k > 0` runs the
 /// top-k path. `deadline_ms == 0` means no per-query deadline (the
 /// server may still impose its own cap and the session budget).
-/// `offset`/`page_size` paginate over the stable result order —
-/// execution is deterministic, so re-running the query for the next
-/// page returns the same row sequence ([`QueryResponse::next_offset`]
-/// carries the continuation token). `page_size == 0` asks for the
-/// server's maximum page.
+/// `offset`/`page_size` paginate over the stable result order
+/// ([`QueryResponse::next_offset`] carries the continuation token).
+/// A continuation (`offset > 0`) of the connection's last multi-page
+/// answer is sliced from that answer while the engine's view is
+/// unchanged; otherwise the query is evaluated again, and execution is
+/// deterministic, so either way the pages concatenate to the one-shot
+/// answer. `page_size == 0` asks for the server's maximum page.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct QueryRequest {
     /// Client-chosen request id, echoed in the response.
@@ -148,6 +150,9 @@ impl WireDegradation {
 }
 
 /// Server-side per-query timings and I/O, for client-side observability.
+/// A page served from the connection's result cursor did no engine
+/// work: its `total_ns` is the page-assembly time and every other field
+/// is zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WireMetrics {
     /// Total server-side time for the query (all stages), nanoseconds.

@@ -32,6 +32,20 @@
 //! Every gate's decision is counted in [`ServerMetrics`] and exported
 //! both through the binary [`StatsResponse`] frame (exact reconciliation
 //! for load harnesses) and as Prometheus text (`xkw_server_*`).
+//!
+//! # Pagination
+//!
+//! Each connection keeps a single-slot result cursor: the complete
+//! answer of its last evaluation when that answer has a next page and
+//! is not degraded, together with the epoch of the view it read. A
+//! continuation request (`offset > 0`) for the same keywords, `z`, `k`
+//! and flags is sliced from the cursor while the engine's epoch is
+//! unchanged, so a paged walk executes the query once. Anything else
+//! evaluates again and replaces the cursor: `offset == 0`, a different
+//! query, or a view installed since. Continuation pages still pass all
+//! three gates; they charge the session budget their page-assembly
+//! time, report no engine work in [`WireMetrics`], and are counted in
+//! `xkw_server_cursor_pages_total`.
 
 use crate::proto::{
     self, ErrorCode, ErrorResponse, Frame, QueryRequest, QueryResponse, ReadFrameError,
@@ -40,11 +54,11 @@ use crate::proto::{
 use std::collections::HashMap;
 use std::io;
 use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use xkw_core::error::XkError;
-use xkw_core::exec::{ExecMode, SessionBudget};
+use xkw_core::exec::{ExecMode, ResultRow, SessionBudget};
 use xkw_core::prelude::*;
 use xkw_obs::metrics::{Counter, Gauge, Histogram};
 
@@ -133,6 +147,7 @@ pub struct ServerMetrics {
     plans_skipped: Arc<Counter>,
     plans_incomplete: Arc<Counter>,
     query_faults: Arc<Counter>,
+    cursor_pages: Arc<Counter>,
     inflight: Arc<Gauge>,
     inflight_peak: Arc<Gauge>,
     latency: Arc<Histogram>,
@@ -155,6 +170,7 @@ impl ServerMetrics {
             plans_skipped: c("xkw_server_plans_skipped_total"),
             plans_incomplete: c("xkw_server_plans_incomplete_total"),
             query_faults: c("xkw_server_query_faults_total"),
+            cursor_pages: c("xkw_server_cursor_pages_total"),
             inflight: reg.gauge("xkw_server_inflight"),
             inflight_peak: reg.gauge("xkw_server_inflight_peak"),
             latency: reg.histogram("xkw_server_request_ns"),
@@ -167,6 +183,10 @@ impl ServerMetrics {
         m.reg.set_help(
             "xkw_server_quota_shed_total",
             "Requests shed by per-client token-bucket quotas",
+        );
+        m.reg.set_help(
+            "xkw_server_cursor_pages_total",
+            "Continuation pages sliced from a connection's result cursor without evaluating",
         );
         m.reg
             .set_help("xkw_server_inflight", "Queries currently being evaluated");
@@ -191,6 +211,12 @@ impl ServerMetrics {
     /// Successful responses sent so far.
     pub fn responses_total(&self) -> u64 {
         self.responses.get()
+    }
+
+    /// Continuation pages served from a connection's result cursor so
+    /// far.
+    pub fn cursor_pages_total(&self) -> u64 {
+        self.cursor_pages.get()
     }
 
     /// Renders every `xkw_server_*` series in Prometheus text format.
@@ -346,7 +372,6 @@ struct Shared {
     quotas: Option<QuotaTable>,
     shutdown: AtomicBool,
     conns: Mutex<ConnTable>,
-    served: AtomicU64,
 }
 
 /// A running server. Dropping the handle shuts the server down.
@@ -424,7 +449,6 @@ pub fn start(
             next_id: 0,
             streams: HashMap::new(),
         }),
-        served: AtomicU64::new(0),
         xk,
         cfg,
     });
@@ -522,6 +546,7 @@ fn serve_conn(mut stream: TcpStream, peer: SocketAddr, shared: &Shared) {
         Some(total) => SessionBudget::new(total),
         None => SessionBudget::unlimited(),
     };
+    let mut cursor = None;
     while !shared.shutdown.load(Ordering::SeqCst) {
         let frame = match proto::read_frame(&mut stream, cfg.max_frame) {
             Ok(Some(f)) => f,
@@ -548,7 +573,7 @@ fn serve_conn(mut stream: TcpStream, peer: SocketAddr, shared: &Shared) {
             }
         };
         let reply = match frame {
-            Frame::Query(req) => handle_query(shared, peer, &budget, req),
+            Frame::Query(req) => handle_query(shared, peer, &budget, &mut cursor, req),
             Frame::StatsRequest => {
                 Frame::Stats(Box::new(shared.metrics.snapshot(shared.xk.engine())))
             }
@@ -576,12 +601,36 @@ fn serve_conn(mut stream: TcpStream, peer: SocketAddr, shared: &Shared) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
+/// A connection's result cursor: the complete answer of its last
+/// evaluation, kept while that answer has pages left to serve.
+struct Cursor {
+    keywords: Vec<String>,
+    z: u16,
+    k: u32,
+    flags: u8,
+    /// Epoch of the view the answer was read from.
+    epoch: u64,
+    rows: Vec<ResultRow>,
+    degradation: WireDegradation,
+}
+
+impl Cursor {
+    /// Whether `req` continues this answer over the view at `epoch`.
+    fn continues(&self, req: &QueryRequest, epoch: u64) -> bool {
+        req.offset > 0
+            && epoch == self.epoch
+            && (req.z, req.k, req.flags) == (self.z, self.k, self.flags)
+            && req.keywords == self.keywords
+    }
+}
+
 /// The admission gates + evaluation for one query frame. Always returns
 /// exactly one frame — a results page or a typed error.
 fn handle_query(
     shared: &Shared,
     peer: SocketAddr,
     budget: &SessionBudget,
+    cursor: &mut Option<Cursor>,
     req: QueryRequest,
 ) -> Frame {
     let m = &shared.metrics;
@@ -627,15 +676,34 @@ fn handle_query(
             ),
         );
     };
-    shared.served.fetch_add(1, Ordering::Relaxed);
-    evaluate(shared, budget, &req)
+    match cursor {
+        Some(c) if c.continues(&req, shared.xk.engine().epoch()) => {
+            let started = Instant::now();
+            let mut resp = page(&shared.cfg, &req, &c.rows, c.degradation);
+            let assembly = started.elapsed();
+            budget.charge(assembly);
+            m.cursor_pages.inc();
+            resp.metrics.total_ns = assembly.as_nanos() as u64;
+            respond(m, resp)
+        }
+        _ => evaluate(shared, budget, cursor, &req),
+    }
 }
 
-/// Evaluates an admitted query and paginates the answer.
-fn evaluate(shared: &Shared, budget: &SessionBudget, req: &QueryRequest) -> Frame {
+/// Evaluates an admitted query, answers its page, and replaces the
+/// connection's cursor with the answer when it is complete and has
+/// pages left.
+fn evaluate(
+    shared: &Shared,
+    budget: &SessionBudget,
+    cursor: &mut Option<Cursor>,
+    req: &QueryRequest,
+) -> Frame {
     let cfg = &shared.cfg;
     let m = &shared.metrics;
     let engine = shared.xk.engine();
+    // Release the previous answer before materialising the next one.
+    *cursor = None;
     let keywords: Vec<&str> = req.keywords.iter().map(String::as_str).collect();
     let mode = if req.flags & proto::FLAG_NAIVE != 0 {
         ExecMode::Naive
@@ -692,26 +760,6 @@ fn evaluate(shared: &Shared, budget: &SessionBudget, req: &QueryRequest) -> Fram
         }
     };
 
-    // Paginate over the stable result order (evaluation is
-    // deterministic, so the same query re-run for the next page yields
-    // the same row sequence at any thread count).
-    let rows = &out.results.rows;
-    let total = rows.len() as u32;
-    let page_size = match req.page_size {
-        0 => cfg.max_page_rows,
-        n => n.min(cfg.max_page_rows),
-    };
-    let start = req.offset.min(total);
-    let end = start.saturating_add(page_size).min(total);
-    let page: Vec<WireRow> = rows[start as usize..end as usize]
-        .iter()
-        .map(|r| WireRow {
-            plan: r.plan as u32,
-            score: r.score as u32,
-            assignment: r.assignment.clone(),
-        })
-        .collect();
-
     let deg = &out.results.degradation;
     let degradation = WireDegradation {
         deadline_exceeded: deg.deadline_exceeded,
@@ -728,23 +776,67 @@ fn evaluate(shared: &Shared, budget: &SessionBudget, req: &QueryRequest) -> Fram
         m.query_faults.add(u64::from(degradation.faults));
     }
     let qm = &out.metrics;
-    let total_time = qm.discover + qm.plan + qm.exec + qm.present;
-    m.responses.inc();
-    m.latency.observe(total_time.as_nanos() as u64);
-    Frame::Results(QueryResponse {
+    let mut resp = page(cfg, req, &out.results.rows, degradation);
+    resp.metrics = WireMetrics {
+        total_ns: (qm.discover + qm.plan + qm.exec + qm.present).as_nanos() as u64,
+        exec_ns: qm.exec.as_nanos() as u64,
+        io_hits: qm.io_hits,
+        io_misses: qm.io_misses,
+        plans: qm.plans as u32,
+        plan_cache_hit: qm.plan_cache_hit,
+    };
+    // Keep the answer for its continuation pages — never a degraded
+    // one, which a re-run with time to spare could complete.
+    if resp.next_offset.is_some() && !degradation.is_degraded() {
+        *cursor = Some(Cursor {
+            keywords: req.keywords.clone(),
+            z: req.z,
+            k: req.k,
+            flags: req.flags,
+            epoch: qm.epoch,
+            rows: out.results.rows,
+            degradation,
+        });
+    }
+    respond(m, resp)
+}
+
+/// Slices the page `req` asks for out of a complete answer `rows`, over
+/// the stable result order. Metrics are left for the caller to fill.
+fn page(
+    cfg: &ServerConfig,
+    req: &QueryRequest,
+    rows: &[ResultRow],
+    degradation: WireDegradation,
+) -> QueryResponse {
+    let total = rows.len() as u32;
+    let page_size = match req.page_size {
+        0 => cfg.max_page_rows,
+        n => n.min(cfg.max_page_rows),
+    };
+    let start = req.offset.min(total);
+    let end = start.saturating_add(page_size).min(total);
+    QueryResponse {
         id: req.id,
         total_rows: total,
         offset: req.offset,
         next_offset: (end < total).then_some(end),
         degradation,
-        metrics: WireMetrics {
-            total_ns: total_time.as_nanos() as u64,
-            exec_ns: qm.exec.as_nanos() as u64,
-            io_hits: qm.io_hits,
-            io_misses: qm.io_misses,
-            plans: qm.plans as u32,
-            plan_cache_hit: qm.plan_cache_hit,
-        },
-        rows: page,
-    })
+        metrics: WireMetrics::default(),
+        rows: rows[start as usize..end as usize]
+            .iter()
+            .map(|r| WireRow {
+                plan: r.plan as u32,
+                score: r.score as u32,
+                assignment: r.assignment.clone(),
+            })
+            .collect(),
+    }
+}
+
+/// Counts a results page as served and frames it.
+fn respond(m: &ServerMetrics, resp: QueryResponse) -> Frame {
+    m.responses.inc();
+    m.latency.observe(resp.metrics.total_ns);
+    Frame::Results(resp)
 }

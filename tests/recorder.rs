@@ -260,3 +260,59 @@ fn record_ring_never_exceeds_capacity() {
         "evictions must discard the oldest records first (min surviving id {min_id})"
     );
 }
+
+/// Queries rejected before execution — unknown keyword, empty query,
+/// too many keywords, bad mode — each append exactly one forced record
+/// carrying their typed error, and count toward the windowed error rate
+/// just like execute-stage failures.
+#[test]
+fn prepare_stage_rejections_are_recorded() {
+    let xk = fig1(PostingsFormatKind::Raw, 64);
+    let engine = xk.engine();
+    let recorder = engine.recorder();
+    let many: Vec<String> = (0..=xkeyword::core::error::MAX_KEYWORDS)
+        .map(|i| format!("kw{i}"))
+        .collect();
+    let many: Vec<&str> = many.iter().map(String::as_str).collect();
+    type Rejection<'a> = (&'a [&'a str], ExecMode, fn(&XkError) -> bool);
+    let cases: [Rejection; 4] = [
+        (
+            &["john", "nosuchword"],
+            cached(),
+            |e| matches!(e, XkError::UnknownKeyword(k) if k == "nosuchword"),
+        ),
+        (&[], cached(), |e| matches!(e, XkError::EmptyQuery)),
+        (&many, cached(), |e| {
+            matches!(e, XkError::TooManyKeywords { .. })
+        }),
+        (&["john", "vcr"], ExecMode::Cached { capacity: 0 }, |e| {
+            matches!(e, XkError::BadMode(_))
+        }),
+    ];
+    for (i, (keywords, mode, is_kind)) in cases.into_iter().enumerate() {
+        let appended = recorder.appended();
+        let errors = engine.stats().errors;
+        let window_errors = recorder.window_stats().errors;
+        let e = engine.query_all(keywords, 8, mode).unwrap_err();
+        assert!(is_kind(&e), "case {i}: unexpected error {e:?}");
+        assert_eq!(recorder.appended(), appended + 1, "case {i}: one record");
+        assert_eq!(engine.stats().errors, errors + 1, "case {i}: one error");
+        assert_eq!(recorder.window_stats().errors, window_errors + 1);
+        let rec = recorder.records().into_iter().last().unwrap();
+        assert_eq!(rec.error.as_deref(), Some(e.to_string().as_str()));
+        assert_eq!(rec.keywords, *keywords);
+        assert!(
+            rec.forced && !rec.needs_explain,
+            "case {i}: forced, no re-run"
+        );
+        assert_eq!((rec.rows, rec.plans), (0, 0), "case {i}: nothing ran");
+    }
+    // The top-k path records its rejections the same way.
+    let appended = recorder.appended();
+    let e = engine
+        .query_topk(&["nosuchword"], 8, 3, cached(), 1)
+        .unwrap_err();
+    assert!(matches!(e, XkError::UnknownKeyword(_)));
+    assert_eq!(recorder.appended(), appended + 1);
+    assert_eq!(recorder.records().last().unwrap().k, Some(3));
+}

@@ -211,6 +211,306 @@ fn pagination_walks_the_stable_order() {
     srv.shutdown();
 }
 
+/// One results page, panicking on a typed error.
+fn results(client: &mut Client, req: &QueryRequest) -> QueryResponse {
+    match client.query(req).unwrap() {
+        QueryOutcome::Results(r) => r,
+        QueryOutcome::Error(e) => panic!("unexpected error {e:?}"),
+    }
+}
+
+/// Every request resolves to exactly one counted outcome.
+fn assert_reconciles(s: &StatsResponse) {
+    assert_eq!(
+        s.requests,
+        s.responses + s.shed + s.quota_shed + s.request_errors,
+        "request accounting must close: {s:?}"
+    );
+}
+
+/// A server over `xk` at `threads` worker threads on both the top-k and
+/// the full-evaluation paths.
+fn serve_at(xk: &Arc<XKeyword>, threads: usize) -> xkeyword::serve::ServerHandle {
+    xk.engine().set_exec_threads(threads);
+    start(
+        Arc::clone(xk),
+        "127.0.0.1:0",
+        ServerConfig {
+            exec_threads: threads,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap()
+}
+
+/// The result cursor: a multi-page walk executes its query once — one
+/// engine query, one flight record — and slices every continuation page
+/// from the stored answer, which still concatenates to the in-process
+/// answer. Continuation pages report no engine work, an offset past the
+/// end is an empty page from the cursor, and interleaved walks stay
+/// correct through fallback.
+#[test]
+fn paged_walk_executes_the_query_once() {
+    for postings in [PostingsFormatKind::Raw, PostingsFormatKind::Packed] {
+        let xk = fig1(postings);
+        for threads in [1usize, 2, 8] {
+            let mut srv = serve_at(&xk, threads);
+            let mut client = Client::connect(srv.addr()).unwrap();
+            let recorder = xk.engine().recorder();
+            for kws in QUERIES {
+                for k in [0u32, 10] {
+                    let ctx = format!("{kws:?} k={k} postings={postings:?} threads={threads}");
+                    let want = if k == 0 {
+                        xk.engine().query_all_within(kws, 8, cached(), None)
+                    } else {
+                        xk.engine().query_topk_opts(
+                            kws,
+                            8,
+                            k as usize,
+                            cached(),
+                            threads,
+                            None,
+                            true,
+                        )
+                    }
+                    .unwrap()
+                    .results
+                    .rows;
+                    assert!(want.len() > 2, "{ctx}: needs several pages of 2");
+                    let (s0, records0) = (client.stats().unwrap(), recorder.appended());
+                    let cursor0 = srv.metrics().cursor_pages_total();
+
+                    let mut req = request(kws, k);
+                    req.page_size = 2;
+                    let (mut rows, mut pages) = (Vec::new(), 0u64);
+                    loop {
+                        let page = results(&mut client, &req);
+                        assert_eq!(page.total_rows as usize, want.len(), "{ctx}");
+                        if req.offset > 0 {
+                            let m = page.metrics;
+                            assert_eq!(
+                                (m.exec_ns, m.io_hits, m.io_misses, m.plans),
+                                (0, 0, 0, 0),
+                                "{ctx}: a cursor page reports no engine work"
+                            );
+                        }
+                        rows.extend(page.rows);
+                        pages += 1;
+                        match page.next_offset {
+                            Some(off) => req.offset = off,
+                            None => break,
+                        }
+                    }
+                    assert_rows_match(&rows, &want, &ctx);
+                    assert_eq!(pages, (want.len() as u64).div_ceil(2), "{ctx}");
+                    let s1 = client.stats().unwrap();
+                    assert_eq!(s1.engine_queries, s0.engine_queries + 1, "{ctx}");
+                    assert_eq!(recorder.appended(), records0 + 1, "{ctx}");
+                    assert_eq!(
+                        srv.metrics().cursor_pages_total(),
+                        cursor0 + pages - 1,
+                        "{ctx}: every continuation comes from the cursor"
+                    );
+                    assert_reconciles(&s1);
+
+                    // Past the end: an empty page, still not an error.
+                    req.offset = want.len() as u32 + 5;
+                    let past = results(&mut client, &req);
+                    assert!(past.rows.is_empty() && past.next_offset.is_none(), "{ctx}");
+                    assert_eq!(past.total_rows as usize, want.len(), "{ctx}");
+                    let s2 = client.stats().unwrap();
+                    assert_eq!(s2.engine_queries, s1.engine_queries, "{ctx}");
+                    assert_reconciles(&s2);
+                }
+            }
+            interleave_walks(
+                &xk,
+                &mut client,
+                &srv,
+                &format!("{postings:?} threads={threads}"),
+            );
+            srv.shutdown();
+        }
+    }
+}
+
+/// Two walks interleaved on one connection keep displacing each other's
+/// cursor; every page either re-executes or comes from the cursor, and
+/// still equals the in-process answer's page.
+fn interleave_walks(
+    xk: &XKeyword,
+    client: &mut Client,
+    srv: &xkeyword::serve::ServerHandle,
+    ctx: &str,
+) {
+    let mut walks: Vec<(QueryRequest, Vec<ResultRow>, Option<u32>)> = [QUERIES[0], QUERIES[1]]
+        .iter()
+        .map(|kws| {
+            let want = xk
+                .engine()
+                .query_all_within(kws, 8, cached(), None)
+                .unwrap()
+                .results
+                .rows;
+            assert!(want.len() >= 2, "{ctx}: {kws:?} needs several pages");
+            let mut req = request(kws, 0);
+            req.page_size = 1;
+            (req, want, Some(0))
+        })
+        .collect();
+    let (s0, cursor0) = (client.stats().unwrap(), srv.metrics().cursor_pages_total());
+    let mut requests = 0;
+    while walks.iter().any(|(_, _, next)| next.is_some()) {
+        for (req, want, next) in &mut walks {
+            let Some(off) = *next else { continue };
+            req.offset = off;
+            let page = results(client, req);
+            requests += 1;
+            let at = off as usize;
+            assert_rows_match(&page.rows, &want[at..at + 1], ctx);
+            *next = page.next_offset;
+        }
+    }
+    let s = client.stats().unwrap();
+    assert_eq!(
+        s.engine_queries - s0.engine_queries + srv.metrics().cursor_pages_total() - cursor0,
+        requests,
+        "{ctx}: every page either executes or comes from the cursor"
+    );
+    assert!(
+        s.engine_queries - s0.engine_queries >= 4,
+        "{ctx}: interleaving falls back"
+    );
+    assert_reconciles(&s);
+}
+
+/// An ingest between pages installs a new view: the next page
+/// re-executes against it and equals the same page of a fresh
+/// single-shot answer at the new epoch, and the rest of the walk is
+/// sliced from that new answer.
+#[test]
+fn cursor_falls_back_after_a_view_swap() {
+    const BIB: &str = "<bib>\
+        <paper><title>keyword search</title><author>jones</author></paper>\
+        <paper><title>search engines</title><author>jones</author></paper>\
+        <paper><title>proximity search</title><author>jones</author></paper>\
+        <paper><title>graph search</title><author>smith</author></paper>\
+        </bib>";
+    const DOC: &str =
+        "<bib><paper><title>search at scale</title><author>jones</author></paper></bib>";
+    let kws: &[&str] = &["jones", "search"];
+    for postings in [PostingsFormatKind::Raw, PostingsFormatKind::Packed] {
+        for threads in [1usize, 2, 8] {
+            let ctx = format!("postings={postings:?} threads={threads}");
+            let xk = Arc::new(
+                XKeyword::load_xml(
+                    BIB,
+                    LoadOptions {
+                        postings_format: postings,
+                        ..LoadOptions::default()
+                    },
+                )
+                .unwrap(),
+            );
+            let mut srv = serve_at(&xk, threads);
+            let mut client = Client::connect(srv.addr()).unwrap();
+            let recorder = xk.engine().recorder();
+            let mut req = request(kws, 0);
+            req.page_size = 1;
+            let first = results(&mut client, &req);
+            assert!(first.next_offset.is_some(), "{ctx}: needs several pages");
+
+            xk.insert_document(DOC).unwrap();
+            let fresh = xk
+                .engine()
+                .query_all_within(kws, 8, cached(), None)
+                .unwrap()
+                .results
+                .rows;
+            assert!(
+                fresh.len() > first.total_rows as usize,
+                "{ctx}: the insert must add rows"
+            );
+            let records = recorder.appended();
+            let cursor = srv.metrics().cursor_pages_total();
+            req.offset = 1;
+            let page = results(&mut client, &req);
+            assert_eq!(recorder.appended(), records + 1, "{ctx}: re-executed");
+            assert_eq!(srv.metrics().cursor_pages_total(), cursor, "{ctx}");
+            assert_eq!(page.total_rows as usize, fresh.len(), "{ctx}");
+            assert_rows_match(&page.rows, &fresh[1..2], &ctx);
+
+            // The re-executed answer is the new cursor.
+            let mut offset = page.next_offset;
+            while let Some(off) = offset {
+                req.offset = off;
+                let page = results(&mut client, &req);
+                let at = off as usize;
+                assert_rows_match(&page.rows, &fresh[at..at + 1], &ctx);
+                offset = page.next_offset;
+            }
+            assert_eq!(recorder.appended(), records + 1, "{ctx}: one execution");
+            assert_eq!(
+                srv.metrics().cursor_pages_total(),
+                cursor + fresh.len() as u64 - 2,
+                "{ctx}"
+            );
+            assert_reconciles(&client.stats().unwrap());
+            srv.shutdown();
+        }
+    }
+}
+
+/// A degraded answer is never kept: with every page read stalled past
+/// the deadline, the page after a degraded (or failed) first page
+/// re-executes instead of being sliced from a partial answer.
+#[test]
+fn degraded_answers_are_not_cached() {
+    for postings in [PostingsFormatKind::Raw, PostingsFormatKind::Packed] {
+        let (graph, _, _) = tpch::figure1();
+        let xk = Arc::new(
+            XKeyword::load(
+                graph,
+                tpch::tss_graph(),
+                LoadOptions {
+                    decomposition: DecompositionSpec::XKeyword { m: 6, b: 2 },
+                    pool_pages: 2,
+                    postings_format: postings,
+                    ..LoadOptions::default()
+                },
+            )
+            .unwrap(),
+        );
+        xk.db
+            .install_faults(FaultSpec::new(0x5EED).slow(FaultTarget::All, 1.0, 100_000_000));
+        for threads in [1usize, 2, 8] {
+            let ctx = format!("postings={postings:?} threads={threads}");
+            let mut srv = serve_at(&xk, threads);
+            let mut client = Client::connect(srv.addr()).unwrap();
+            let recorder = xk.engine().recorder();
+            let mut req = request(&["john", "vcr"], 0);
+            req.page_size = 1;
+            req.deadline_ms = 250;
+            for offset in [0, 1] {
+                req.offset = offset;
+                let records = recorder.appended();
+                match client.query(&req).unwrap() {
+                    QueryOutcome::Results(r) => {
+                        assert!(r.degradation.is_degraded(), "{ctx}: slow pages degrade")
+                    }
+                    QueryOutcome::Error(e) => {
+                        assert_eq!(e.code, ErrorCode::DeadlineExceeded, "{ctx}: {e:?}")
+                    }
+                }
+                assert_eq!(recorder.appended(), records + 1, "{ctx}: page {offset} ran");
+            }
+            assert_eq!(srv.metrics().cursor_pages_total(), 0, "{ctx}");
+            assert_reconciles(&client.stats().unwrap());
+            srv.shutdown();
+        }
+    }
+}
+
 /// A degraded response's report equals the counters the server
 /// publishes — the wire never understates what was lost.
 #[test]
