@@ -9,7 +9,13 @@
 //! with. A non-vacuousness floor on the base-instance posting count
 //! keeps the gate honest.
 //!
-//! Alongside the gate, the bench reports WAL append overhead per fsync
+//! A second gate covers reads after writes: the first fig15a top-10
+//! query after each view swap must hit the plan cache (skeletons are
+//! schema-level and survive inserts and deletes), and the median of
+//! those post-swap queries must stay within [`MAX_POST_SWAP_RATIO`]× of
+//! the warm median.
+//!
+//! Alongside the gates, the bench reports WAL append overhead per fsync
 //! policy (report-only: `always` is device-bound) and checks that an
 //! insert/delete round trip leaves query results byte-identical — the
 //! numbers recorded in `BENCH_ingest.json`. One `{"workload":..}` JSON
@@ -26,6 +32,10 @@ use xkw_store::FsyncPolicy;
 
 /// Incremental insert must beat a full rebuild by at least this factor.
 const MIN_SPEEDUP: f64 = 5.0;
+
+/// The first query after a view swap may take at most this multiple of
+/// a warm query, in the median.
+const MAX_POST_SWAP_RATIO: f64 = 2.0;
 
 /// Non-vacuousness floor: the base instance must index at least this
 /// many postings, or the rebuild being beaten is trivial.
@@ -119,6 +129,50 @@ fn main() {
          ({insert_med} vs {rebuild_med} ns); the gate requires >= {MIN_SPEEDUP}x"
     );
 
+    // --- Reads after writes: the first query after each swap ----------
+    let (a, b) = w::pick_author_queries(&xk, 1, 7).remove(0);
+    let kws = [a.as_str(), b.as_str()];
+    let timed_top10 = || {
+        let t = Instant::now();
+        let out = xk
+            .engine()
+            .query_topk(&kws, w::Z, 10, w::cached(), 1)
+            .expect("query runs");
+        (t.elapsed().as_nanos() as u64, out.metrics.plan_cache_hit)
+    };
+    let (cold_ns, _) = timed_top10();
+    let mut warm_ns: Vec<u64> = (0..iters).map(|_| timed_top10().0).collect();
+    let mut post_swap_ns = Vec::with_capacity(2 * iters);
+    for _ in 0..iters {
+        let doc = xk.insert_document(DELTA).expect("delta conforms");
+        post_swap_ns.push(timed_top10());
+        xk.delete_document(doc).expect("doc is live");
+        post_swap_ns.push(timed_top10());
+    }
+    let hits = post_swap_ns.iter().filter(|&&(_, hit)| hit).count();
+    let mut post_swap_ns: Vec<u64> = post_swap_ns.into_iter().map(|(ns, _)| ns).collect();
+    warm_ns.sort_unstable();
+    post_swap_ns.sort_unstable();
+    let warm_med = warm_ns[warm_ns.len() / 2];
+    let post_swap_med = post_swap_ns[post_swap_ns.len() / 2];
+    let ratio = post_swap_med as f64 / warm_med as f64;
+    println!(
+        "{{\"workload\":\"read_after_write\",\"swaps\":{},\"plan_cache_hits\":{hits},\
+         \"cold_ns\":{cold_ns},\"warm_ns\":{warm_med},\"post_swap_ns\":{post_swap_med},\
+         \"ratio\":{ratio:.2}}}",
+        post_swap_ns.len()
+    );
+    assert_eq!(
+        hits,
+        post_swap_ns.len(),
+        "every query after a view swap must hit the plan cache"
+    );
+    assert!(
+        ratio <= MAX_POST_SWAP_RATIO,
+        "post-swap median {post_swap_med} ns is {ratio:.2}x the warm median \
+         {warm_med} ns; the gate allows {MAX_POST_SWAP_RATIO}x"
+    );
+
     // --- WAL append overhead per fsync policy (report-only) -------------
     let wal_root = std::env::temp_dir().join(format!("xkw-bench-ingest-{}", std::process::id()));
     for policy in [FsyncPolicy::Off, FsyncPolicy::Batch, FsyncPolicy::Always] {
@@ -150,6 +204,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&wal_root);
     println!(
         "ok: incremental insert {speedup:.1}x faster than full rebuild \
-         (gate {MIN_SPEEDUP}x) over {postings} postings"
+         (gate {MIN_SPEEDUP}x) over {postings} postings; post-swap reads \
+         {ratio:.2}x warm (gate {MAX_POST_SWAP_RATIO}x)"
     );
 }

@@ -17,7 +17,13 @@
 //!   straight to the cheap per-query
 //!   [`instantiate`](crate::optimizer::instantiate) step. Queries with
 //!   fresh keywords of a familiar *shape* (e.g. any two author surnames)
-//!   plan in microseconds.
+//!   plan in microseconds. A skeleton is a function of the TSS, the
+//!   decomposition and that key alone — it reads no relation contents,
+//!   statistics or postings, which are bound at instantiation against the
+//!   query's own [`ReadView`]. Both inputs are fixed for the engine's
+//!   lifetime (every view shares one `Arc<Decomposition>`, asserted on
+//!   install), so the cache stays warm across sessions *and* across the
+//!   view swaps of inserts and deletes.
 //! * **Typed errors.** All `query_*`/`prepare` paths return
 //!   `Result<_, `[`XkError`]`>`: empty or oversized queries, unknown
 //!   keywords, contradictory execution modes and plan/catalog mismatches
@@ -33,6 +39,7 @@
 
 use crate::cn::CnGenerator;
 use crate::ctssn::Ctssn;
+use crate::decompose::Decomposition;
 use crate::error::{validate_keywords, XkError};
 use crate::exec::{self, ExecMode, QueryResults};
 use crate::master_index::MasterIndex;
@@ -192,6 +199,9 @@ pub struct ReadView {
 /// The shared query-stage core. See the module docs.
 pub struct QueryEngine {
     tss: Arc<TssGraph>,
+    /// The decomposition every view's catalog materializes. With `tss`
+    /// it is the whole epoch-independent input of the plan cache.
+    decomposition: Arc<Decomposition>,
     db: Arc<Db>,
     /// The current read view. Writers swap the whole `Arc` under a short
     /// write lock; readers clone it once per query and never block each
@@ -248,6 +258,7 @@ impl QueryEngine {
     ) -> Self {
         QueryEngine {
             tss,
+            decomposition: Arc::clone(&catalog.decomposition),
             db,
             view: RwLock::new(Arc::new(ReadView {
                 targets,
@@ -301,14 +312,26 @@ impl QueryEngine {
     /// Atomically installs a new read view built by the write path and
     /// returns its epoch. In-flight queries keep their old snapshot;
     /// queries entering after this see only the new one. The plan cache
-    /// is cleared — cached skeletons embed relation handles and statistics
-    /// of the superseded catalog.
+    /// is kept: skeletons depend on the TSS, the decomposition and the
+    /// plan key only, and every query instantiates them against its own
+    /// view. A key computed from the new view's keyword partition still
+    /// misses when an insert or delete changes that partition.
+    ///
+    /// # Panics
+    /// When `catalog` materializes a different decomposition than the
+    /// engine's (not the same `Arc`): cached skeletons would index its
+    /// fragments wrongly.
     pub fn install_view(
         &self,
         targets: Arc<TargetGraph>,
         master: Arc<MasterIndex>,
         catalog: Arc<RelationCatalog>,
     ) -> u64 {
+        assert!(
+            Arc::ptr_eq(&catalog.decomposition, &self.decomposition),
+            "install_view: the new catalog materializes a different decomposition \
+             than this engine's; derive it from the current catalog"
+        );
         let mut guard = self.view.write();
         let epoch = guard.epoch + 1;
         *guard = Arc::new(ReadView {
@@ -318,7 +341,6 @@ impl QueryEngine {
             epoch,
         });
         drop(guard);
-        self.plan_cache.lock().clear();
         epoch
     }
 
@@ -389,9 +411,10 @@ impl QueryEngine {
         drop(discover_span);
         let discover = t.elapsed();
 
-        // Plan: skeletons from the cache, or built cold and cached. The
-        // cache is cleared on every view install, so a cached skeleton is
-        // always from this view's epoch.
+        // Plan: skeletons from the cache, or built cold and cached. A
+        // skeleton depends on the TSS, the decomposition and the key only
+        // — never on this view's relations — so one cached under an
+        // earlier epoch is valid here; instantiation binds it to `view`.
         let t = Instant::now();
         let mut plan_span = xkw_obs::span!("query.plan", z = z);
         let key = plan_key(&achievable, keywords.len(), z);
@@ -404,7 +427,7 @@ impl QueryEngine {
                     gen.generate(z)
                         .iter()
                         .filter_map(|cn| Ctssn::from_cn(cn, &self.tss).ok())
-                        .filter_map(|c| build_skeleton(&c, &view.catalog))
+                        .filter_map(|c| build_skeleton(&c, &self.decomposition.fragments))
                         .collect(),
                 );
                 self.plan_cache.lock().put(key, skeletons.clone());
@@ -1566,26 +1589,89 @@ mod tests {
         assert!(report.render().contains("stages:"));
     }
 
-    /// Installing a view bumps the epoch, clears the plan cache, and
-    /// leaves previously handed-out snapshots untouched.
+    /// Installing a view bumps the epoch and leaves previously handed-out
+    /// snapshots untouched. The schema-level plan cache survives the
+    /// swap: the same shape hits, and the hit — instantiated against the
+    /// new view — equals cold planning on a fresh engine over that view.
     #[test]
-    fn install_view_swaps_snapshot_and_clears_plan_cache() {
+    fn install_view_keeps_schema_level_plans() {
         let e = engine();
+        let kws = ["us", "vcr"];
         assert_eq!(e.epoch(), 0);
-        assert!(!e.prepare(&["john", "vcr"], 8).unwrap().plan_cache_hit);
-        assert!(e.prepare(&["john", "vcr"], 8).unwrap().plan_cache_hit);
+        assert!(!e.prepare(&kws, 8).unwrap().plan_cache_hit);
+        let before = e.prepare(&kws, 8).unwrap();
+        assert!(before.plan_cache_hit);
         let old = e.view();
-        let epoch = e.install_view(e.targets(), e.master(), e.catalog());
+        // A successor view without one target object whose removal keeps
+        // the query's keyword partition (so its plan key) but shrinks a
+        // containing list: a delete the cached skeletons must outlive.
+        let key = |m: &MasterIndex| plan_key(&m.achievable_sets(&kws), kws.len(), 8);
+        let postings = |m: &MasterIndex| {
+            kws.iter()
+                .map(|k| m.containing_list(k).len())
+                .sum::<usize>()
+        };
+        let gone = (0..old.targets.len() as ToId)
+            .find(|&id| {
+                let m = old.master.without_range(id, id + 1);
+                key(&m) == key(&old.master) && postings(&m) < postings(&old.master)
+            })
+            .expect("a target object is removable without changing the plan key");
+        let master = Arc::new(old.master.without_range(gone, gone + 1));
+        let catalog = Arc::new(old.catalog.with_deleted(e.db(), gone..gone + 1, 1));
+        let epoch = e.install_view(old.targets.clone(), master.clone(), catalog.clone());
         assert_eq!(epoch, 1);
         assert_eq!(e.epoch(), 1);
         assert_eq!(old.epoch, 0, "held snapshots keep their epoch");
-        assert_eq!(e.plan_cache_len(), 0, "install clears the plan cache");
-        // Same shape plans cold again, and queries still answer correctly.
-        assert!(!e.prepare(&["john", "vcr"], 8).unwrap().plan_cache_hit);
-        let out = e
-            .query_all(&["john", "vcr"], 8, ExecMode::Cached { capacity: 1024 })
-            .unwrap();
-        assert_eq!(out.mttons.iter().map(|m| m.score).min(), Some(6));
+
+        let hit = e.prepare(&kws, 8).unwrap();
+        assert!(hit.plan_cache_hit, "the same shape hits after install");
+        let candidates =
+            |p: &Prepared| -> Vec<_> { p.plans.iter().map(|p| p.candidates.clone()).collect() };
+        assert_ne!(
+            candidates(&hit),
+            candidates(&before),
+            "the hit is instantiated against the new view"
+        );
+        let fresh = QueryEngine::new(
+            e.tss().clone(),
+            old.targets.clone(),
+            master,
+            e.db().clone(),
+            catalog,
+        );
+        let cold = fresh.prepare(&kws, 8).unwrap();
+        assert!(!cold.plan_cache_hit);
+        assert!(!hit.plans.is_empty());
+        assert_eq!(hit.plans.len(), cold.plans.len());
+        for (a, b) in hit.plans.iter().zip(&cold.plans) {
+            assert_eq!(a.driver, b.driver);
+            assert_eq!(a.tiles, b.tiles);
+            assert_eq!(a.candidates, b.candidates);
+            assert_eq!(a.score, b.score);
+        }
+        let mode = ExecMode::Cached { capacity: 1024 };
+        let got = e.query_all(&kws, 8, mode).unwrap();
+        let want = fresh.query_all(&kws, 8, mode).unwrap();
+        assert_eq!(got.results.rows, want.results.rows);
+        assert_eq!(got.mttons, want.mttons);
+    }
+
+    /// A catalog over another decomposition cannot be installed: the
+    /// cached skeletons index the engine's fragments.
+    #[test]
+    #[should_panic(expected = "different decomposition")]
+    fn install_view_rejects_a_foreign_decomposition() {
+        let e = engine();
+        let view = e.view();
+        let foreign = RelationCatalog::materialize(
+            e.db(),
+            &view.targets,
+            decompose::minimal(e.tss()),
+            PhysicalPolicy::clustered(),
+            "foreign",
+        );
+        e.install_view(view.targets.clone(), view.master.clone(), Arc::new(foreign));
     }
 
     /// A query reports the epoch of the view it read: 0 on the bulk

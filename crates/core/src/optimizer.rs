@@ -20,7 +20,7 @@
 //! outright (`build_plan` returns `None`).
 
 use crate::ctssn::Ctssn;
-use crate::decompose::{all_tilings, Tile};
+use crate::decompose::{all_tilings, Fragment, Tile};
 use crate::master_index::{MasterIndex, SeekCandidateIndex};
 use crate::relations::RelationCatalog;
 use crate::target::ToId;
@@ -90,7 +90,7 @@ fn intersect_sorted(a: &[ToId], b: &[ToId]) -> Vec<ToId> {
 }
 
 /// One tile of a plan: a connection relation with its column→role map.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TilePlan {
     /// Fragment index in the catalog.
     pub rel: usize,
@@ -212,12 +212,14 @@ impl CtssnPlan {
 /// its enumerated (unordered) fragment tilings.
 ///
 /// Tiling enumeration is the expensive step of `build_plan` and depends
-/// only on the CTSSN's *structure* and the catalog — not on which
-/// keywords instantiated it. Two queries whose keywords partition the
+/// only on the CTSSN's *structure* and the decomposition's fragments —
+/// not on which keywords instantiated it, and not on any relation
+/// contents or statistics. Two queries whose keywords partition the
 /// schema nodes the same way (same achievable keyword-sets per schema
 /// node) produce identical CTSSNs, so the engine caches skeleton lists
-/// per partition signature and replays [`instantiate`] — which computes
-/// the candidate sets, driver, tile order and cost — per query.
+/// per partition signature and replays [`instantiate`] — which reads
+/// the candidate sets and relation statistics of the query's own
+/// snapshot and computes driver, tile order and cost — per query.
 #[derive(Debug, Clone)]
 pub struct PlanSkeleton {
     /// The network being evaluated.
@@ -228,13 +230,15 @@ pub struct PlanSkeleton {
 }
 
 /// Enumerates the keyword-independent skeleton for `ctssn`, or `None`
-/// when the catalog's fragments cannot tile the network.
-pub fn build_skeleton(ctssn: &Ctssn, catalog: &RelationCatalog) -> Option<PlanSkeleton> {
+/// when `fragments` cannot tile the network. Only the fragment shapes
+/// are read, so a skeleton holds no epoch data and stays valid for every
+/// catalog materializing the same decomposition.
+pub fn build_skeleton(ctssn: &Ctssn, fragments: &[Fragment]) -> Option<PlanSkeleton> {
     // Tiling search: enumerate up to TILING_CAP tilings. (The paper shows
     // optimal connection-relation choice is NP-complete; the CTSSNs here
     // have ≤ 16 edges, so a capped exhaustive search with a fanout-based
     // cost model is both practical and near-optimal.)
-    let tilings = all_tilings(&ctssn.tree, &catalog.decomposition.fragments, TILING_CAP);
+    let tilings = all_tilings(&ctssn.tree, fragments, TILING_CAP);
     if tilings.is_empty() {
         return None;
     }
@@ -242,7 +246,7 @@ pub fn build_skeleton(ctssn: &Ctssn, catalog: &RelationCatalog) -> Option<PlanSk
         ctssn: ctssn.clone(),
         tilings: tilings
             .iter()
-            .map(|tiling| tiling.iter().map(|t| tile_plan(catalog, t)).collect())
+            .map(|tiling| tiling.iter().map(|t| tile_plan(fragments, t)).collect())
             .collect(),
     })
 }
@@ -255,7 +259,7 @@ pub fn build_plan(
     master: &MasterIndex,
     keywords: &[&str],
 ) -> Option<CtssnPlan> {
-    let skeleton = build_skeleton(ctssn, catalog)?;
+    let skeleton = build_skeleton(ctssn, &catalog.decomposition.fragments)?;
     instantiate(&skeleton, catalog, master, keywords, None)
 }
 
@@ -270,7 +274,7 @@ pub fn build_plan_anchored(
     keywords: &[&str],
     driver: u8,
 ) -> Option<CtssnPlan> {
-    let skeleton = build_skeleton(ctssn, catalog)?;
+    let skeleton = build_skeleton(ctssn, &catalog.decomposition.fragments)?;
     instantiate(&skeleton, catalog, master, keywords, Some(driver))
 }
 
@@ -469,8 +473,8 @@ fn estimate_cost(
     cost
 }
 
-fn tile_plan(catalog: &RelationCatalog, tile: &Tile) -> TilePlan {
-    let frag = &catalog.decomposition.fragments[tile.fragment];
+fn tile_plan(fragments: &[Fragment], tile: &Tile) -> TilePlan {
+    let frag = &fragments[tile.fragment];
     // Relation column j corresponds to fragment role j, embedded at CTSSN
     // role role_map[j].
     TilePlan {
@@ -635,7 +639,7 @@ mod tests {
             .collect();
         let skeletons: Vec<PlanSkeleton> = ctssns
             .iter()
-            .filter_map(|c| build_skeleton(c, &f.catalog))
+            .filter_map(|c| build_skeleton(c, &f.catalog.decomposition.fragments))
             .collect();
         assert_eq!(skeletons.len(), ctssns.len());
         for kws in [["tv", "vcr"], ["vcr", "tv"]] {

@@ -111,8 +111,10 @@ impl ConnRelation {
 /// All connection relations of one decomposition.
 #[derive(Debug)]
 pub struct RelationCatalog {
-    /// The decomposition materialized.
-    pub decomposition: Decomposition,
+    /// The decomposition materialized. Schema-level and immutable: every
+    /// incremental successor of this catalog shares the same `Arc`, which
+    /// is what lets the engine keep plan skeletons across view swaps.
+    pub decomposition: Arc<Decomposition>,
     /// The physical policy used.
     pub policy: PhysicalPolicy,
     relations: Vec<ConnRelation>,
@@ -286,7 +288,7 @@ impl RelationCatalog {
             ));
         }
         RelationCatalog {
-            decomposition,
+            decomposition: Arc::new(decomposition),
             policy,
             relations,
             prefix: prefix.to_owned(),
@@ -391,7 +393,7 @@ impl RelationCatalog {
             }
         }
         RelationCatalog {
-            decomposition: self.decomposition.clone(),
+            decomposition: Arc::clone(&self.decomposition),
             policy: self.policy,
             relations,
             prefix: self.prefix.clone(),

@@ -16,6 +16,10 @@
 //!    document set (proptest).
 //! 4. **Recovery is observable** — replays are counted in the published
 //!    metrics (`xkw_recoveries_total`, `xkw_docs_total`, `xkw_wal_*`).
+//! 5. **Plans outlive writes** — one instance queried after *every*
+//!    mutation, its plan cache warm across the view swaps, answers each
+//!    step exactly like a bulk rebuild of that step's live documents,
+//!    typed errors included (proptest).
 //!
 //! CI runs this suite across the same `XKW_EXEC_THREADS` /
 //! `XKW_POSTINGS` matrix as the fault-injection suite; without the env
@@ -101,6 +105,18 @@ fn bulk_oracle(docs: &[&str]) -> XKeyword {
         graph.absorb(&frag);
     }
     XKeyword::load(graph, tss, LoadOptions::default()).unwrap()
+}
+
+/// One probe answer that keeps a typed error apart from an empty
+/// result, plus whether its planning hit the plan cache.
+fn typed_answer(xk: &XKeyword, q: &[&str]) -> (Result<String, XkError>, bool) {
+    match xk.engine().query_all(q, 6, ExecMode::Naive) {
+        Ok(out) => (
+            Ok(xk.canonical_results(q, 6).unwrap()),
+            out.metrics.plan_cache_hit,
+        ),
+        Err(e) => (Err(e), false),
+    }
 }
 
 /// Canonical answers for every probe query.
@@ -321,6 +337,55 @@ proptest! {
                     "history {:?} diverged from bulk rebuild ({:?}, {} threads)",
                     &choices, format, threads
                 );
+            }
+        }
+    }
+
+    /// Property 5: the plan cache stays warm across view swaps without
+    /// changing any answer. After every mutation of a random history the
+    /// same instance answers every probe like a bulk rebuild of the live
+    /// set at that step — `UnknownKeyword` once the last `royce` document
+    /// is gone included — and at least one post-swap query hits the
+    /// cache, so the property is not vacuously cold.
+    #[test]
+    fn warm_plans_across_swaps_match_bulk_rebuild(
+        first in 0usize..3,
+        rest in prop::collection::vec(0usize..5, 0..7),
+    ) {
+        // The first choice always inserts, so every history swaps views.
+        let choices: Vec<usize> = std::iter::once(first).chain(rest).collect();
+        for format in postings_formats() {
+            for threads in exec_threads() {
+                let xk = load_base(None, threads, format);
+                let ctx = format!("history {choices:?} ({format:?}, {threads} threads)");
+                let warm: Vec<_> = QUERIES.iter().map(|q| typed_answer(&xk, q).0).collect();
+                let base = bulk_oracle(&[]);
+                let want: Vec<_> = QUERIES.iter().map(|q| typed_answer(&base, q).0).collect();
+                prop_assert_eq!(warm, want, "{} before any write", &ctx);
+                let mut live: Vec<(u64, &str)> = Vec::new();
+                let mut post_swap_hits = 0;
+                for (step, &c) in choices.iter().enumerate() {
+                    match c {
+                        0..=2 => live.push((xk.insert_document(DOCS[c]).unwrap(), DOCS[c])),
+                        _ if live.is_empty() => continue,
+                        3 => xk.delete_document(live.remove(0).0).unwrap(),
+                        4 => xk.delete_document(live.pop().unwrap().0).unwrap(),
+                        _ => unreachable!(),
+                    }
+                    let docs: Vec<&str> = live.iter().map(|&(_, d)| d).collect();
+                    let oracle = bulk_oracle(&docs);
+                    for q in QUERIES {
+                        let (got, hit) = typed_answer(&xk, q);
+                        post_swap_hits += usize::from(hit);
+                        prop_assert_eq!(
+                            got,
+                            typed_answer(&oracle, q).0,
+                            "{} step {} query {:?}",
+                            &ctx, step, q
+                        );
+                    }
+                }
+                prop_assert!(post_swap_hits > 0, "{}: no post-swap plan-cache hit", &ctx);
             }
         }
     }

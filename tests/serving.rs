@@ -384,20 +384,22 @@ fn interleave_walks(
     assert_reconciles(&s);
 }
 
+/// A small bibliography the view-swap tests query for `jones search`,
+/// and a document whose insert adds rows to that answer.
+const BIB: &str = "<bib>\
+    <paper><title>keyword search</title><author>jones</author></paper>\
+    <paper><title>search engines</title><author>jones</author></paper>\
+    <paper><title>proximity search</title><author>jones</author></paper>\
+    <paper><title>graph search</title><author>smith</author></paper>\
+    </bib>";
+const DOC: &str = "<bib><paper><title>search at scale</title><author>jones</author></paper></bib>";
+
 /// An ingest between pages installs a new view: the next page
 /// re-executes against it and equals the same page of a fresh
 /// single-shot answer at the new epoch, and the rest of the walk is
 /// sliced from that new answer.
 #[test]
 fn cursor_falls_back_after_a_view_swap() {
-    const BIB: &str = "<bib>\
-        <paper><title>keyword search</title><author>jones</author></paper>\
-        <paper><title>search engines</title><author>jones</author></paper>\
-        <paper><title>proximity search</title><author>jones</author></paper>\
-        <paper><title>graph search</title><author>smith</author></paper>\
-        </bib>";
-    const DOC: &str =
-        "<bib><paper><title>search at scale</title><author>jones</author></paper></bib>";
     let kws: &[&str] = &["jones", "search"];
     for postings in [PostingsFormatKind::Raw, PostingsFormatKind::Packed] {
         for threads in [1usize, 2, 8] {
@@ -619,6 +621,39 @@ fn plan_cache_is_shared_across_sessions() {
         ),
         QueryOutcome::Error(e) => panic!("unexpected error {e:?}"),
     }
+    srv.shutdown();
+}
+
+/// The plan cache outlives writes: the same request on one connection
+/// after an `insert_document` hits the plans the first request built,
+/// its rows equal the in-process answer at the new epoch, and request
+/// accounting still closes.
+#[test]
+fn plan_cache_survives_a_view_swap() {
+    let kws: &[&str] = &["jones", "search"];
+    let xk = Arc::new(XKeyword::load_xml(BIB, LoadOptions::default()).unwrap());
+    let mut srv = serve_at(&xk, 1);
+    let mut client = Client::connect(srv.addr()).unwrap();
+    let req = request(kws, 10);
+    let before = results(&mut client, &req);
+    assert!(!before.metrics.plan_cache_hit, "first planning is cold");
+
+    xk.insert_document(DOC).unwrap();
+    // Ask the server first: an in-process query now would warm the
+    // cache itself.
+    let after = results(&mut client, &req);
+    assert!(
+        after.metrics.plan_cache_hit,
+        "the view swap must not discard the schema-level plans"
+    );
+    let want = xk
+        .engine()
+        .query_topk_opts(kws, 8, 10, cached(), 1, None, true)
+        .unwrap();
+    assert_eq!(want.metrics.epoch, 1, "the answer is read at the new epoch");
+    assert_rows_match(&after.rows, &want.results.rows, "after insert");
+    assert_ne!(after.rows, before.rows, "the insert must change the answer");
+    assert_reconciles(&client.stats().unwrap());
     srv.shutdown();
 }
 
